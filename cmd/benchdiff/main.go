@@ -1,5 +1,8 @@
 // benchdiff compares two benchjson reports (see cmd/benchjson) and flags
-// per-benchmark ns/op regressions beyond a threshold.
+// per-benchmark ns/op regressions beyond a threshold — and B/op and
+// allocs/op regressions for benchmarks whose baseline recorded -benchmem
+// figures. A baseline without those figures only has its ns/op gated, so
+// an older baseline never turns the diff red just for lacking them.
 //
 // Usage:
 //
@@ -33,10 +36,12 @@ import (
 )
 
 type record struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Name        string             `json:"name"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 type report struct {
@@ -46,11 +51,35 @@ type report struct {
 
 // diff is one matched benchmark pair.
 type diff struct {
-	Name       string
-	Base, New  float64 // ns/op
-	DeltaPct   float64 // (new-base)/base * 100
-	Threshold  float64 // gate applied to this benchmark
+	Name      string
+	Base, New float64 // ns/op
+	DeltaPct  float64 // (new-base)/base * 100
+	Threshold float64 // gate applied to this benchmark, to every figure
+	// Bytes and Allocs compare B/op and allocs/op; nil unless both reports
+	// carry the figure for this benchmark.
+	Bytes, Allocs *memDelta
+	Regression    bool // any compared figure beyond the gate
+}
+
+// memDelta is one -benchmem figure of a matched pair.
+type memDelta struct {
+	Base, New  float64
+	DeltaPct   float64
 	Regression bool
+}
+
+// compareMem compares one -benchmem figure; nil when either side lacks it.
+// A zero baseline is never a regression (no meaningful percentage).
+func compareMem(base, fresh *float64, thresholdPct float64) *memDelta {
+	if base == nil || fresh == nil {
+		return nil
+	}
+	m := &memDelta{Base: *base, New: *fresh}
+	if m.Base > 0 {
+		m.DeltaPct = (m.New - m.Base) / m.Base * 100
+		m.Regression = m.DeltaPct > thresholdPct
+	}
+	return m
 }
 
 // benchThreshold is one per-benchmark gate override.
@@ -107,9 +136,10 @@ func normalize(name string) string {
 	return gomaxprocsSuffix.ReplaceAllString(name, "")
 }
 
-// compare matches benchmarks by normalized name and computes ns/op deltas;
-// a regression is a slowdown of more than the benchmark's gate — the first
-// matching per-bench override, or thresholdPct when none matches.
+// compare matches benchmarks by normalized name and computes ns/op (and,
+// where both sides have them, B/op and allocs/op) deltas; a regression is
+// any figure rising by more than the benchmark's gate — the first matching
+// per-bench override, or thresholdPct when none matches.
 func compare(base, fresh report, thresholdPct float64, overrides ...benchThreshold) result {
 	baseBy := map[string]record{}
 	for _, b := range base.Benchmarks {
@@ -130,6 +160,13 @@ func compare(base, fresh report, thresholdPct float64, overrides ...benchThresho
 		if b.NsPerOp > 0 {
 			d.DeltaPct = (f.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
 			d.Regression = d.DeltaPct > d.Threshold
+		}
+		d.Bytes = compareMem(b.BytesPerOp, f.BytesPerOp, d.Threshold)
+		d.Allocs = compareMem(b.AllocsPerOp, f.AllocsPerOp, d.Threshold)
+		for _, m := range []*memDelta{d.Bytes, d.Allocs} {
+			if m != nil && m.Regression {
+				d.Regression = true
+			}
 		}
 		res.Diffs = append(res.Diffs, d)
 	}
@@ -195,8 +232,15 @@ func main() {
 		if d.Threshold != *threshold {
 			gate = fmt.Sprintf("  (gate %.0f%%)", d.Threshold)
 		}
-		fmt.Printf("%s %-60s %14.0f -> %14.0f ns/op  %+7.1f%%%s\n",
-			marker, d.Name, d.Base, d.New, d.DeltaPct, gate)
+		mem := ""
+		if d.Bytes != nil {
+			mem += fmt.Sprintf("  B/op %+.1f%%", d.Bytes.DeltaPct)
+		}
+		if d.Allocs != nil {
+			mem += fmt.Sprintf("  allocs/op %+.1f%%", d.Allocs.DeltaPct)
+		}
+		fmt.Printf("%s %-60s %14.0f -> %14.0f ns/op  %+7.1f%%%s%s\n",
+			marker, d.Name, d.Base, d.New, d.DeltaPct, mem, gate)
 	}
 	for _, name := range res.OnlyInBase {
 		fmt.Printf("-- %-60s (removed: in baseline only)\n", name)

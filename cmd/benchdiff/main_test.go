@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 func rec(name string, ns float64) record { return record{Name: name, NsPerOp: ns} }
 
@@ -112,5 +115,53 @@ func TestNormalizeStripsOnlyGomaxprocsSuffix(t *testing.T) {
 		if got := normalize(in); got != want {
 			t.Errorf("normalize(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+func memRec(name string, ns, bytes, allocs float64) record {
+	return record{Name: name, NsPerOp: ns, BytesPerOp: &bytes, AllocsPerOp: &allocs}
+}
+
+// TestCompareGatesBenchmemOnlyWhereBaselineHasIt pins the -benchmem gate:
+// B/op and allocs/op regressions are flagged for benchmarks whose baseline
+// recorded them, and a baseline that predates -benchmem never goes red just
+// because the fresh sweep now carries the figures.
+func TestCompareGatesBenchmemOnlyWhereBaselineHasIt(t *testing.T) {
+	var base, fresh report
+	if err := json.Unmarshal([]byte(`{"benchmarks": [
+		{"name": "BenchmarkBytes-8", "ns_per_op": 100, "bytes_per_op": 1000, "allocs_per_op": 10},
+		{"name": "BenchmarkAllocs-8", "ns_per_op": 100, "bytes_per_op": 1000, "allocs_per_op": 10},
+		{"name": "BenchmarkSteady-8", "ns_per_op": 100, "bytes_per_op": 1000, "allocs_per_op": 10},
+		{"name": "BenchmarkZeroAlloc-8", "ns_per_op": 100, "bytes_per_op": 0, "allocs_per_op": 0},
+		{"name": "BenchmarkOldBaseline-8", "ns_per_op": 100}
+	]}`), &base); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Benchmarks = []record{
+		memRec("BenchmarkBytes-8", 100, 1500, 10),       // B/op +50%
+		memRec("BenchmarkAllocs-8", 100, 1000, 20),      // allocs/op +100%
+		memRec("BenchmarkSteady-8", 100, 1050, 9),       // within the gate
+		memRec("BenchmarkZeroAlloc-8", 100, 64, 1),      // zero baseline: no percentage
+		memRec("BenchmarkOldBaseline-8", 100, 9999, 99), // baseline lacks the figures
+	}
+	res := compare(base, fresh, 10)
+	by := map[string]diff{}
+	for _, d := range res.Diffs {
+		by[d.Name] = d
+	}
+	if d := by["BenchmarkBytes"]; !d.Regression || d.Bytes == nil || !d.Bytes.Regression || d.Bytes.DeltaPct != 50 || d.Allocs.Regression {
+		t.Errorf("Bytes = %+v, want a B/op regression at +50%%", d)
+	}
+	if d := by["BenchmarkAllocs"]; !d.Regression || d.Allocs == nil || !d.Allocs.Regression || d.Allocs.DeltaPct != 100 {
+		t.Errorf("Allocs = %+v, want an allocs/op regression at +100%%", d)
+	}
+	if d := by["BenchmarkSteady"]; d.Regression || d.Bytes == nil || d.Bytes.DeltaPct != 5 || d.Allocs.DeltaPct != -10 {
+		t.Errorf("Steady = %+v, want +5%% B/op and -10%% allocs/op, no regression", d)
+	}
+	if d := by["BenchmarkZeroAlloc"]; d.Regression || d.Bytes == nil || d.Allocs == nil {
+		t.Errorf("ZeroAlloc = %+v, want compared figures but no regression", d)
+	}
+	if d := by["BenchmarkOldBaseline"]; d.Regression || d.Bytes != nil || d.Allocs != nil {
+		t.Errorf("OldBaseline = %+v, want ns/op only and no regression", d)
 	}
 }

@@ -6,7 +6,8 @@
 //	go test -run '^$' -bench . . | go run ./cmd/benchjson -o BENCH_1.json
 //
 // Each benchmark line becomes one record carrying its iteration count,
-// ns/op, and any extra ReportMetric values (txn/s, index-items, ...).
+// ns/op, the -benchmem figures (B/op, allocs/op) when the sweep ran with
+// -benchmem, and any extra ReportMetric values (txn/s, index-items, ...).
 // Context lines (goos/goarch/pkg/cpu) are captured into the header.
 package main
 
@@ -22,10 +23,14 @@ import (
 )
 
 type record struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Name       string  `json:"name"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// -benchmem figures; nil when the line has none, so a real zero
+	// (an allocation-free bench) stays distinguishable from "not measured".
+	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 type report struct {
@@ -72,8 +77,15 @@ func parse(lines *bufio.Scanner) (report, error) {
 			if err != nil {
 				continue
 			}
-			if pair[2] == "ns/op" {
+			switch pair[2] {
+			case "ns/op":
 				rec.NsPerOp = val
+				continue
+			case "B/op":
+				rec.BytesPerOp = &val
+				continue
+			case "allocs/op":
+				rec.AllocsPerOp = &val
 				continue
 			}
 			if rec.Metrics == nil {

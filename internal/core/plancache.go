@@ -104,9 +104,10 @@ func (pc *planCache) get(dialect, text string) (*query.Pipeline, bool) {
 		return nil, false
 	}
 	pc.lru.MoveToFront(el)
+	pipe := ent.pipe // put may replace it once the mutex is released
 	pc.mu.Unlock()
 	pc.hits.Add(1)
-	return ent.pipe, true
+	return pipe, true
 }
 
 // put stores a freshly parsed plan, evicting from the LRU tail when full.

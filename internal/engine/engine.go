@@ -30,11 +30,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"os"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/wal"
@@ -575,29 +577,33 @@ func (t *Txn) Delete(ks string, key []byte) error {
 }
 
 // Scan iterates pairs with lo <= key < hi (nil bounds are open) in ks,
-// calling fn for each; fn returning false stops early. The scan takes a
-// shared lock on the whole keyspace (snapshot transactions take none),
-// which also prevents phantoms. The pair list is materialized before fn
-// runs, so callbacks may freely issue further operations on this
-// transaction (including writes to the scanned keyspace — they do not
-// affect the in-flight iteration). Callers must not mutate the key/value
-// slices.
+// calling fn for each; fn returning false stops early. A locked scan takes
+// a shared lock on the whole keyspace, which also prevents phantoms, and
+// materializes the range before fn runs, so callbacks may freely issue
+// further operations on this transaction (including writes to the scanned
+// keyspace — they do not affect the in-flight iteration). A snapshot scan
+// takes no lock and streams straight from the frozen copy-on-write tree:
+// the transaction is read-only, so callbacks can neither write nor see
+// concurrent commits. Callers must not mutate the key/value slices.
 func (t *Txn) Scan(ks string, lo, hi []byte, fn func(key, value []byte) bool) error {
-	pairs, err := t.collect(ks, lo, hi, false)
-	if err != nil {
-		return err
-	}
-	for _, p := range pairs {
-		if !fn(p[0], p[1]) {
-			return nil
-		}
-	}
-	return nil
+	return t.scan(ks, lo, hi, fn, false)
 }
 
 // ScanReverse is Scan in descending key order.
 func (t *Txn) ScanReverse(ks string, lo, hi []byte, fn func(key, value []byte) bool) error {
-	pairs, err := t.collect(ks, lo, hi, true)
+	return t.scan(ks, lo, hi, fn, true)
+}
+
+func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, reverse bool) error {
+	if t.snap != nil && !t.done {
+		if reverse {
+			t.snap.ScanReverse(ks, lo, hi, fn)
+		} else {
+			t.snap.Scan(ks, lo, hi, fn)
+		}
+		return nil
+	}
+	pairs, err := t.Collect(ks, lo, hi, reverse)
 	if err != nil {
 		return err
 	}
@@ -609,12 +615,15 @@ func (t *Txn) ScanReverse(ks string, lo, hi []byte, fn func(key, value []byte) b
 	return nil
 }
 
-func (t *Txn) collect(ks string, lo, hi []byte, reverse bool) ([][2][]byte, error) {
+// Collect returns the pairs Scan (or ScanReverse) would visit, as one
+// materialized run in scan order, taking the same locks. The shard router
+// gathers these runs directly, so each shard materializes its range once.
+func (t *Txn) Collect(ks string, lo, hi []byte, reverse bool) ([][2][]byte, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
 	if t.snap != nil {
-		return t.snap.collect(ks, lo, hi, reverse), nil
+		return rangeOf(t.snap.trees[ks], lo, hi, reverse), nil
 	}
 	if err := t.e.locks.acquire(t.id, ksLockName(ks), LockS); err != nil {
 		return nil, err
@@ -623,24 +632,37 @@ func (t *Txn) collect(ks string, lo, hi []byte, reverse bool) ([][2][]byte, erro
 	var pairs [][2][]byte
 	if w == nil || !w.dropped {
 		t.e.mu.Lock()
-		if tree := t.e.keyspaces[ks]; tree != nil {
-			pairs = make([][2][]byte, 0, tree.Len())
-			add := func(k, v []byte) bool {
-				pairs = append(pairs, [2][]byte{k, v})
-				return true
-			}
-			if reverse {
-				tree.ScanReverse(lo, hi, add)
-			} else {
-				tree.Scan(lo, hi, add)
-			}
-		}
+		pairs = rangeOf(t.e.keyspaces[ks], lo, hi, reverse)
 		t.e.mu.Unlock()
 	}
 	if w == nil || len(w.entries) == 0 {
 		return pairs, nil
 	}
 	return overlayPairs(pairs, w, lo, hi, reverse), nil
+}
+
+// rangeOf materializes tree's pairs with lo <= key < hi in scan order. A
+// whole-keyspace scan (both bounds nil) is presized exactly from the tree's
+// length; a bounded one grows by append, so a short prefix scan allocates
+// for the rows it returns, not for the keyspace.
+func rangeOf(tree *btree.Tree, lo, hi []byte, reverse bool) [][2][]byte {
+	if tree == nil {
+		return nil
+	}
+	var pairs [][2][]byte
+	if lo == nil && hi == nil {
+		pairs = make([][2][]byte, 0, tree.Len())
+	}
+	add := func(k, v []byte) bool {
+		pairs = append(pairs, [2][]byte{k, v})
+		return true
+	}
+	if reverse {
+		tree.ScanReverse(lo, hi, add)
+	} else {
+		tree.Scan(lo, hi, add)
+	}
+	return pairs
 }
 
 // overlayPairs merges a transaction's staged writes into an ordered scan of
@@ -925,8 +947,21 @@ func (e *Engine) Update(fn func(*Txn) error) error {
 			return err
 		}
 		lastErr = err
+		if attempt < maxRetries-1 {
+			DeadlockBackoff(attempt)
+		}
 	}
 	return lastErr
+}
+
+// DeadlockBackoff pauses a deadlock victim before its next attempt (0-based)
+// for a random time whose bound doubles per attempt (250µs, 500µs, …). An
+// immediate retry re-runs the same interleaving against the transactions it
+// collided with and tends to deadlock again; the jitter lets the survivor
+// finish first.
+func DeadlockBackoff(attempt int) {
+	bound := int64(250*time.Microsecond) << attempt
+	time.Sleep(time.Duration(rand.Int64N(bound)))
 }
 
 // View runs fn in a read-only usage pattern (fn may technically write; the
@@ -1158,25 +1193,6 @@ func (s *Snapshot) ScanReverse(ks string, lo, hi []byte, fn func(key, value []by
 	if t := s.trees[ks]; t != nil {
 		t.ScanReverse(lo, hi, fn)
 	}
-}
-
-// collect materializes a range like Txn.collect, without any locking.
-func (s *Snapshot) collect(ks string, lo, hi []byte, reverse bool) [][2][]byte {
-	t := s.trees[ks]
-	if t == nil {
-		return nil
-	}
-	pairs := make([][2][]byte, 0, t.Len())
-	add := func(k, v []byte) bool {
-		pairs = append(pairs, [2][]byte{k, v})
-		return true
-	}
-	if reverse {
-		t.ScanReverse(lo, hi, add)
-	} else {
-		t.Scan(lo, hi, add)
-	}
-	return pairs
 }
 
 // --- Checkpoint and snapshots ---

@@ -37,7 +37,7 @@ func New(db *core.DB) http.Handler {
 	mux.HandleFunc("/collections/", s.handleCollections)
 	mux.HandleFunc("/kv/", s.handleKV)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "keyspaces": len(db.Engine.Keyspaces())})
+		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "keyspaces": len(db.Keyspaces())})
 	})
 	return mux
 }

@@ -15,11 +15,16 @@ import (
 
 func newServer(t *testing.T) (*core.DB, *httptest.Server) {
 	t.Helper()
-	db, err := core.Open(core.Options{})
+	return newServerWith(t, core.Options{})
+}
+
+func newServerWith(t *testing.T, opts core.Options) (*core.DB, *httptest.Server) {
+	t.Helper()
+	db, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = db.Engine.Update(func(tx *engine.Txn) error {
+	err = db.Update(func(tx engine.Tx) error {
 		return db.Docs.CreateCollection(tx, "products", catalog.Schemaless)
 	})
 	if err != nil {
@@ -58,6 +63,27 @@ func TestHealthz(t *testing.T) {
 	code, body := do(t, "GET", ts.URL+"/healthz", "")
 	if code != 200 || !strings.Contains(body, `"status":"ok"`) {
 		t.Fatalf("healthz = %d %s", code, body)
+	}
+}
+
+// TestHealthzSharded hits /healthz on a sharded database, where there is no
+// single engine to ask for keyspaces: the handler must count them through
+// the backend instead of panicking.
+func TestHealthzSharded(t *testing.T) {
+	db, ts := newServerWith(t, core.Options{Shards: 4})
+	code, body := do(t, "GET", ts.URL+"/healthz", "")
+	if code != 200 {
+		t.Fatalf("healthz = %d %s", code, body)
+	}
+	var got struct {
+		Status    string `json:"status"`
+		Keyspaces int    `json:"keyspaces"`
+	}
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatalf("healthz body %q: %v", body, err)
+	}
+	if want := len(db.Keyspaces()); got.Status != "ok" || want == 0 || got.Keyspaces != want {
+		t.Fatalf("healthz = %+v, want status ok and %d keyspaces", got, want)
 	}
 }
 

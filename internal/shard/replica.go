@@ -42,11 +42,7 @@ func (p *Replica) Scan(ks string, lo, hi []byte, fn func(key, value []byte) bool
 		})
 		runs[i] = pairs
 	}
-	for _, pair := range mergeRuns(runs, false) {
-		if !fn(pair[0], pair[1]) {
-			return
-		}
-	}
+	gather(runs, false, fn)
 }
 
 // Lag sums the per-shard apply backlogs.

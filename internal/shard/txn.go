@@ -1,8 +1,9 @@
 // Router transactions: one logical transaction fanned across N shard
-// engines. Reads and writes route by key hash; scans scatter, collect
-// per-shard sorted runs concurrently, and gather by k-way merge (key sets
-// are disjoint across shards, so the merged order is byte-identical to a
-// single engine's). Commit picks the cheapest sufficient protocol: writes on
+// engines. Reads and writes route by key hash; scans scatter, take each
+// shard's own materialized run (engine.Txn.Collect, sized to the range)
+// concurrently, and gather by min-pick merge straight off those runs (key
+// sets are disjoint across shards, so the merged order is byte-identical to
+// a single engine's). Commit picks the cheapest sufficient protocol: writes on
 // zero or one shard commit locally, writes on two or more run two-phase
 // commit against the router's coordinator log.
 
@@ -168,9 +169,9 @@ func (t *Txn) ScanReverse(ks string, lo, hi []byte, fn func(key, value []byte) b
 
 // scan scatters the range over all shards, materializing each shard's run
 // on its own goroutine (the engine read path is safe for concurrent readers
-// of one transaction), then gathers by ordered merge and drives fn. Like
-// engine.Txn.Scan, the range is materialized before the callback runs, so
-// fn may freely re-enter the transaction.
+// of one transaction), then gathers by ordered merge and drives fn. Like a
+// locked engine.Txn.Scan, the range is materialized before the callback
+// runs, so fn may freely re-enter the transaction.
 func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, reverse bool) error {
 	if len(t.subs) == 1 {
 		if reverse {
@@ -182,25 +183,12 @@ func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, re
 	runs := make([][][2][]byte, len(t.subs))
 	errs := make([]error, len(t.subs))
 	var wg sync.WaitGroup
-	for i := range t.subs {
+	for i, sub := range t.subs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			// The shard's committed keyspace size bounds the run; sizing the
-			// slice up front keeps a full scan to one allocation instead of
-			// a realloc chain (subranges over-reserve, which is fine).
-			pairs := make([][2][]byte, 0, t.r.shards[i].KeyspaceLen(ks))
-			collect := func(k, v []byte) bool {
-				pairs = append(pairs, [2][]byte{k, v})
-				return true
-			}
-			if reverse {
-				errs[i] = t.subs[i].ScanReverse(ks, lo, hi, collect)
-			} else {
-				errs[i] = t.subs[i].Scan(ks, lo, hi, collect)
-			}
-			runs[i] = pairs
-		}(i)
+			runs[i], errs[i] = sub.Collect(ks, lo, hi, reverse)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -208,10 +196,18 @@ func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, re
 			return err
 		}
 	}
-	// Gather: drive fn straight off the materialized runs with a min-pick
-	// (no merged copy — the runs are already stable in memory, so fn may
-	// re-enter the transaction, and skipping the merged slice halves the
-	// allocation and GC-barrier traffic of a fan-out scan).
+	gather(runs, reverse, fn)
+	return nil
+}
+
+// gather drives fn over per-shard sorted runs in global key order by
+// min-pick, straight off the runs with no merged copy: the runs are stable
+// in memory, so fn may re-enter the transaction, and skipping the merged
+// slice halves the allocation and GC-barrier traffic of a fan-out scan.
+// Keys are disjoint across shards (each key hashes to one owner), so there
+// are never ties and the order is byte-identical to a single engine's scan
+// of the union.
+func gather(runs [][][2][]byte, reverse bool, fn func(key, value []byte) bool) {
 	idx := make([]int, len(runs))
 	for {
 		best := -1
@@ -229,64 +225,14 @@ func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, re
 			}
 		}
 		if best < 0 {
-			return nil
+			return
 		}
 		p := runs[best][idx[best]]
 		idx[best]++
 		if !fn(p[0], p[1]) {
-			return nil
+			return
 		}
 	}
-}
-
-// mergeRuns merges per-shard sorted runs into one globally ordered slice by
-// repeated two-way merging (n·log k compares instead of n·k for the naive
-// min-pick, and each exhausted side's tail is bulk-copied). Keys are
-// disjoint across shards (each key hashes to one owner), so there are never
-// ties to break and the merge is byte-identical to a single engine's scan
-// of the union.
-func mergeRuns(runs [][][2][]byte, reverse bool) [][2][]byte {
-	live := runs[:0]
-	for _, run := range runs {
-		if len(run) > 0 {
-			live = append(live, run)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	for len(live) > 1 {
-		next := live[:0]
-		for i := 0; i+1 < len(live); i += 2 {
-			next = append(next, merge2(live[i], live[i+1], reverse))
-		}
-		if len(live)%2 == 1 {
-			next = append(next, live[len(live)-1])
-		}
-		live = next
-	}
-	return live[0]
-}
-
-// merge2 merges two sorted tie-free runs.
-func merge2(a, b [][2][]byte, reverse bool) [][2][]byte {
-	out := make([][2][]byte, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := bytes.Compare(a[i][0], b[j][0])
-		if (!reverse && c < 0) || (reverse && c > 0) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // Commit publishes the transaction. Single-shard write-sets take the
@@ -426,6 +372,9 @@ func (r *Router) Update(fn func(tx engine.Tx) error) error {
 			return err
 		}
 		lastErr = err
+		if attempt < maxRetries-1 {
+			engine.DeadlockBackoff(attempt)
+		}
 	}
 	return lastErr
 }

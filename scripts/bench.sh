@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Run the full E1–E25 benchmark suite and emit machine-readable results.
+# Run the full E1–E25 benchmark suite and emit machine-readable results,
+# including the -benchmem figures (B/op, allocs/op) next to ns/op.
 #
 # Usage: scripts/bench.sh [output.json] [benchtime]
 #   output.json  defaults to BENCH_1.json
@@ -11,6 +12,6 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_1.json}"
 benchtime="${2:-1x}"
 
-go test -run '^$' -bench . -benchtime "$benchtime" -timeout 30m . \
+go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -timeout 30m . \
   | tee /dev/stderr \
   | go run ./cmd/benchjson -o "$out"

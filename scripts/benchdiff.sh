@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Run a fresh benchmark sweep and diff it against a committed baseline,
-# flagging per-benchmark slowdowns beyond 10%.
+# flagging per-benchmark slowdowns beyond 10% — and B/op or allocs/op growth
+# beyond the same gate for benchmarks whose baseline recorded -benchmem
+# figures (a baseline without them gates ns/op only).
 #
 # Usage: scripts/benchdiff.sh [baseline.json] [benchtime]
 #   baseline.json  defaults to BENCH_1.json (the committed sweep, a stable
@@ -50,7 +52,7 @@ else
 fi
 
 echo "== bench sweep (-benchtime $benchtime)"
-go test -run '^$' -bench . -benchtime "$benchtime" -timeout 30m . \
+go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -timeout 30m . \
   | go run ./cmd/benchjson -o "$fresh"
 
 echo "== diff vs $baseline"
